@@ -13,11 +13,7 @@ import repro.exp.{MaintenanceExperiment, Reports}
 class Fig3MaintenanceBench extends SparkSpec {
 
   test("Figure 3: maintenance degrades, compaction restores") {
-    val phases = MaintenanceExperiment.run(spark, MaintenanceExperiment.Params(
-      sf = 0.05, months = 6, initialFiles = 4,
-      maintenanceDeleteFraction = 0.03,
-      maintenanceAppendSf = 0.0015, maintenanceAppendFiles = 80,
-      queryRepeats = 3))
+    val phases = MaintenanceExperiment.run(spark)
     println(Reports.fig3(phases))
 
     val Vector(initial, degraded, compacted) = phases

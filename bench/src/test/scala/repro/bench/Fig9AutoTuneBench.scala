@@ -2,8 +2,8 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.exp.Reports
-import repro.tune.{Tuner, WorkloadModel}
+import repro.exp.TuneExperiments
+import repro.exp.TuneExperiments.{tpchCount, wp1Count, wp1Entropy, wp3Count}
 
 /** Figure 9: auto-tuning compaction triggers with an MLOS/FLAML-style
   * optimizer over three LST-Bench workloads and two traits.
@@ -17,30 +17,24 @@ import repro.tune.{Tuner, WorkloadModel}
   */
 class Fig9AutoTuneBench extends AnyFunSuite {
 
-  private val tuner = new Tuner(seed = 2024L)
-  private val iters = 25
-
   test("Figure 9a: TPC-DS WP1, small-file-count trigger") {
-    val r = tuner.optimize(WorkloadModel.wp1, "smallFileCount", iters)
-    println(Reports.fig9("wp1/smallFileCount",
-      "paper: up to 2x gain when tables get too fragmented", r))
+    val r = TuneExperiments.run(wp1Count)
+    println(TuneExperiments.report(wp1Count, r))
     val gain = r.head.durationSec / r.map(_.durationSec).min
     println(f"wp1 smallFileCount gain over default: $gain%.2fx (paper: up to 2x)")
     assert(gain > 1.4)
   }
 
   test("Figure 9b: TPC-H — default (no auto-compaction) is best") {
-    val r = tuner.optimize(WorkloadModel.tpch, "smallFileCount", iters)
-    println(Reports.fig9("tpch/smallFileCount",
-      "paper: default setting performs best; whole-table rewrites too costly", r))
+    val r = TuneExperiments.run(tpchCount)
+    println(TuneExperiments.report(tpchCount, r))
     assert(r.head.durationSec == r.map(_.durationSec).min)
   }
 
   test("Figure 9c: TPC-DS WP1, entropy trigger comparable to count trigger") {
-    val rc = tuner.optimize(WorkloadModel.wp1, "smallFileCount", iters)
-    val re = tuner.optimize(WorkloadModel.wp1, "fileEntropy", iters)
-    println(Reports.fig9("wp1/fileEntropy",
-      "paper: comparable query performance to the small-file-count trigger", re))
+    val rc = TuneExperiments.run(wp1Count)
+    val re = TuneExperiments.run(wp1Entropy)
+    println(TuneExperiments.report(wp1Entropy, re))
     val bc = rc.map(_.durationSec).min
     val be = re.map(_.durationSec).min
     println(f"best wp1 durations — count: $bc%.1f s, entropy: $be%.1f s")
@@ -48,9 +42,8 @@ class Fig9AutoTuneBench extends AnyFunSuite {
   }
 
   test("Figure 9d: TPC-DS WP3 — consistent benefits") {
-    val r = tuner.optimize(WorkloadModel.wp3, "smallFileCount", iters)
-    println(Reports.fig9("wp3/smallFileCount",
-      "paper: decoupled clusters see consistent benefits from compaction", r))
+    val r = TuneExperiments.run(wp3Count)
+    println(TuneExperiments.report(wp3Count, r))
     val default = r.head.durationSec
     val improving = r.tail.count(_.durationSec < default)
     println(s"wp3: $improving/${r.tail.size} iterations beat the default")

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+
 import org.apache.spark.sql.SparkSession
 
 import repro.lst.LstCatalog
@@ -78,7 +80,10 @@ final class OptimizeAfterWriteHook(
     cfg: CompactionConfig,
     maxRetries: Int = 3) {
 
-  @volatile var triggered: Int = 0
+  private val fired = new AtomicInteger(0)
+
+  /** How many `onWrite` calls fired the trigger; safe under concurrent writers. */
+  def triggered: Int = fired.get
 
   /** Returns the compaction result when the trigger fired, None otherwise. */
   def onWrite(spark: SparkSession, db: String, name: String): Option[CompactionResult] = {
@@ -88,7 +93,7 @@ final class OptimizeAfterWriteHook(
     val raw = traits(trait_.name)
     val v = if (asRatioOfFiles && stats.fileCount > 0) raw / stats.fileCount else raw
     if (v >= threshold) {
-      triggered += 1
+      fired.incrementAndGet()
       Some(CompactionExecutor.compact(spark, catalog, cand, cfg, maxRetries))
     } else None
   }

@@ -89,4 +89,15 @@ final case class CompactionConfig(
   require(targetFileSizeBytes > 0)
   require(executorMemoryGb > 0)
   require(rewriteBytesPerHour > 0)
+
+  /** Bin-packing output count (§4.2): `bytes` of below-target files are
+    * rewritten into ⌈bytes/target⌉ files, and never fewer than one.
+    */
+  def outputFiles(bytes: Long): Long =
+    math.max(1L, math.ceil(bytes.toDouble / targetFileSizeBytes).toLong)
+
+  /** Compute cost of rewriting `bytes` (§4.2):
+    * GBHr = ExecutorMemoryGB × bytes / RewriteBytesPerHour.
+    */
+  def gbHr(bytes: Long): Double = executorMemoryGb * (bytes.toDouble / rewriteBytesPerHour)
 }

@@ -32,8 +32,9 @@ final case class CompactionResult(
   * Bin-packing semantics match Iceberg's rewrite-data-files: files already
   * at or above the target are untouched; small files are grouped BY
   * PARTITION (compaction never crosses partitions, §7) and each group is
-  * rewritten into ceil(bytes/target) outputs. Groups that cannot shrink
-  * (one small file, or packing yields no fewer files) are skipped.
+  * rewritten into [[CompactionConfig.outputFiles]] outputs. Groups that
+  * cannot shrink (one small file, or packing yields no fewer files) are
+  * skipped.
   *
   * On a conflict the staged files are deleted, the candidate is re-planned
   * against the fresh snapshot (files that disappeared meanwhile drop out),
@@ -65,8 +66,7 @@ object CompactionExecutor {
         .filter(_.sizeBytes < cfg.targetFileSizeBytes)
         .groupBy(_.partition).toVector.sortBy(_._1.getOrElse(""))
         .flatMap { case (part, files) =>
-          val nOut = math.max(1, math.ceil(
-            files.map(_.sizeBytes).sum.toDouble / cfg.targetFileSizeBytes).toInt)
+          val nOut = cfg.outputFiles(files.map(_.sizeBytes).sum).toInt
           if (files.size > nOut) Some((part, files, nOut)) else None
         }
       if (groups.isEmpty)
@@ -82,9 +82,8 @@ object CompactionExecutor {
       try {
         beforeCommit(attempts)
         table.commit(base, Rewrite(victims.map(_.path), added))
-        val gbHr = cfg.executorMemoryGb * (bytes.toDouble / cfg.rewriteBytesPerHour)
         return CompactionResult(candidate.table, candidate.partition,
-          victims.size, added.size, bytes, gbHr, elapsedMs, attempts, conflicts,
+          victims.size, added.size, bytes, cfg.gbHr(bytes), elapsedMs, attempts, conflicts,
           succeeded = true, skipped = false)
       } catch {
         case _: CommitConflictException =>

@@ -27,16 +27,14 @@ object Traits {
   }
 
   /** ΔF minus the files compaction must still produce:
-    * ΔF_adj = smallFiles − ceil(smallBytes / target). A closer estimate of
-    * the net reduction for single-partition candidates.
+    * ΔF_adj = smallFiles − [[CompactionConfig.outputFiles]](smallBytes). A
+    * closer estimate of the net reduction for single-partition candidates.
     */
   case object AdjustedFileCountReduction extends TraitCalc {
     val name = "adjustedFileCountReduction"
     val isCost = false
-    def compute(stats: CandidateStats, cfg: CompactionConfig): Double = {
-      val produced = math.ceil(stats.smallBytes.toDouble / cfg.targetFileSizeBytes)
-      math.max(0.0, stats.smallFileCount - produced)
-    }
+    def compute(stats: CandidateStats, cfg: CompactionConfig): Double =
+      math.max(0L, stats.smallFileCount - cfg.outputFiles(stats.smallBytes)).toDouble
   }
 
   /** File entropy (Netflix auto-optimize [65]): mean squared relative
@@ -65,9 +63,8 @@ object Traits {
     }
   }
 
-  /** Compute cost in GB·hours (paper §4.2):
-    * GBHr_c = ExecutorMemoryGB × DataSize_c / RewriteBytesPerHour, where
-    * DataSize_c is the bytes compaction actually rewrites — the candidate's
+  /** Compute cost in GB·hours (paper §4.2): [[CompactionConfig.gbHr]] of
+    * DataSize_c, the bytes compaction actually rewrites — the candidate's
     * below-target files (files already at target are left in place by the
     * bin-packing executor).
     */
@@ -75,7 +72,7 @@ object Traits {
     val name = "computeCostGbHr"
     val isCost = true
     def compute(stats: CandidateStats, cfg: CompactionConfig): Double =
-      cfg.executorMemoryGb * (stats.smallBytes.toDouble / cfg.rewriteBytesPerHour)
+      cfg.gbHr(stats.smallBytes)
   }
 
   val all: Vector[TraitCalc] =

@@ -22,21 +22,40 @@ import repro.workload._
   */
 object CabExperiment {
 
-  /** Scaled-down §6 parameters (see DESIGN.md §4 for the scaling map). */
+  /** Bench-scale §6 parameters (see DESIGN.md §4 for the scaling map):
+    * 10 databases × (LINEITEM partitioned into 8 ship months + ORDERS) —
+    * 20 tables / 90 hybrid work units, so TABLE-10 and HYBRID-50 are both
+    * genuinely partial selections like the paper's k values.
+    *
+    * @param kDivisor scales the paper's k values down with the fleet size
+    *   (the bench fleet is ~5× smaller than CAB's, so k must shrink
+    *   proportionally or every strategy covers the whole fleet each round
+    *   and the curves collapse together): table-10 → k=2 over 20 tables,
+    *   hybrid-50 → k=10 and hybrid-500 → k=100 over 90 work units. Labels
+    *   keep the paper's names.
+    */
   final case class Params(
-      nDbs: Int = 6,
+      nDbs: Int = 10,
       hours: Int = 5,
       seed: Long = 42L,
-      months: Int = 6,
+      months: Int = 8,
       appendSf: Double = 0.002,
       appendFiles: Int = 6,
       initialSf: Double = 0.004,
-      initialLineitemFiles: Int = 8,
-      initialOrdersFiles: Int = 16,
-      targetFileSizeBytes: Long = 512L << 10, // 512 KB ≙ paper's 512 MB
-      executorMemoryGb: Double = 8.0,
-      rewriteBytesPerHour: Double = 256.0 * (1L << 20),
-      tableParallelism: Int = 4)
+      initialLineitemFiles: Int = 6,
+      initialOrdersFiles: Int = 12,
+      kDivisor: Int = 5)
+
+  /** Smoke scale: 2 databases, 2 hours, the paper's k values. */
+  val small: Params = Params(nDbs = 2, hours = 2, months = 3,
+    appendSf = 0.0005, appendFiles = 3, initialSf = 0.001,
+    initialLineitemFiles = 3, initialOrdersFiles = 4, kDivisor = 1)
+
+  /** 512 KB target ≙ the paper's 512 MB. */
+  val compactionConfig: CompactionConfig = CompactionConfig(512L << 10,
+    executorMemoryGb = 8.0, rewriteBytesPerHour = 256.0 * (1L << 20))
+
+  private val TableParallelism = 4
 
   /** One strategy of the §6 sweep; `acfg=None` is the no-compaction
     * baseline.
@@ -77,22 +96,14 @@ object CabExperiment {
     }
   }
 
-  def compactionConfig(p: Params): CompactionConfig =
-    CompactionConfig(p.targetFileSizeBytes, p.executorMemoryGb, p.rewriteBytesPerHour)
-
   /** The paper's §6 strategy set: no compaction, TABLE-scope top-10, hybrid
-    * top-50 and top-500, all with MOOP weights 0.7 (ΔF) / 0.3 (GBHr).
-    *
-    * @param kDivisor scales the paper's k values down with the fleet size
-    *   (our bench fleet is ~5× smaller than CAB's, so k must shrink
-    *   proportionally or every strategy covers the whole fleet each round
-    *   and the curves collapse together). Labels keep the paper's names.
+    * top-50 and top-500, all with MOOP weights 0.7 (ΔF) / 0.3 (GBHr), with
+    * k divided by `p.kDivisor`.
     */
-  def paperStrategies(p: Params, kDivisor: Int = 1): Vector[StrategyDef] = {
-    val cfg = compactionConfig(p)
+  def paperStrategies(p: Params): Vector[StrategyDef] = {
     def acfg(strategy: ScopeStrategy, paperK: Int) = AutoCompConfig(
-      strategy, cfg, Seq(Filters.MinSmallFiles(2)), Ranker.defaultMoop,
-      Selector.TopK(math.max(1, paperK / kDivisor)), SchedulerConfig(p.tableParallelism))
+      strategy, compactionConfig, Seq(Filters.MinSmallFiles(2)), Ranker.defaultMoop,
+      Selector.TopK(math.max(1, paperK / p.kDivisor)), SchedulerConfig(TableParallelism))
     Vector(
       StrategyDef("nocomp", None),
       StrategyDef("table-10", Some(acfg(ScopeStrategy.TableScope, 10))),
@@ -148,7 +159,7 @@ object CabExperiment {
     }
   }
 
-  def runAll(spark: SparkSession, p: Params,
-             strategies: Vector[StrategyDef]): Vector[StrategyResult] =
-    strategies.map(s => runStrategy(spark, p, s))
+  /** Run every strategy of [[paperStrategies]], one after the other. */
+  def runAll(spark: SparkSession, p: Params): Vector[StrategyResult] =
+    paperStrategies(p).map(s => runStrategy(spark, p, s))
 }

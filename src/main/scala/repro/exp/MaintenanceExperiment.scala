@@ -24,12 +24,13 @@ object MaintenanceExperiment {
       sf: Double = 0.05,
       months: Int = 6,
       initialFiles: Int = 4,
-      maintenanceDeleteFraction: Double = 0.03,
       maintenanceAppendSf: Double = 0.0015, // ~3% of sf
-      maintenanceAppendFiles: Int = 60,
-      queryRepeats: Int = 3,
-      targetFileSizeBytes: Long = 4L << 20,
-      seed: Long = 13L)
+      maintenanceAppendFiles: Int = 80,
+      queryRepeats: Int = 3)
+
+  private val Seed = 13L
+  private val MaintenanceDeleteFraction = 0.03
+  private val TargetFileSizeBytes = 4L << 20
 
   /** The single-user phase: a fixed battery of read queries, repeated. */
   private def singleUserPhase(spark: SparkSession, catalog: LstCatalog, p: Params): Double = {
@@ -60,8 +61,8 @@ object MaintenanceExperiment {
     val li = catalog.createTable("tpch", "lineitem", Some("l_shipmonth"), nowMs = 0L)
     val ord = catalog.createTable("tpch", "orders", None, nowMs = 0L)
     LstWriter.append(spark, li,
-      SynthData.lineitemMonthly(spark, p.sf, p.months, p.seed), p.initialFiles, p.seed)
-    LstWriter.append(spark, ord, SynthData.orders(spark, p.sf, p.seed + 1), p.initialFiles, p.seed)
+      SynthData.lineitemMonthly(spark, p.sf, p.months, Seed), p.initialFiles, Seed)
+    LstWriter.append(spark, ord, SynthData.orders(spark, p.sf, Seed + 1), p.initialFiles, Seed)
 
     val out = Vector.newBuilder[PhaseResult]
     // Unmeasured warmup: JIT + codegen caches would otherwise inflate the
@@ -70,19 +71,19 @@ object MaintenanceExperiment {
     out += PhaseResult("initial", singleUserPhase(spark, catalog, p), liveFiles(catalog))
 
     // Maintenance: ~3% deleted (CoW) + fragmented incremental inserts
-    LstWriter.deleteFraction(spark, li, p.maintenanceDeleteFraction, None, 1.0, p.seed + 2)
-    LstWriter.deleteFraction(spark, ord, p.maintenanceDeleteFraction, None, 1.0, p.seed + 3)
+    LstWriter.deleteFraction(spark, li, MaintenanceDeleteFraction, None, 1.0, Seed + 2)
+    LstWriter.deleteFraction(spark, ord, MaintenanceDeleteFraction, None, 1.0, Seed + 3)
     LstWriter.append(spark, li,
-      SynthData.lineitemMonthly(spark, p.maintenanceAppendSf, p.months, p.seed + 4),
-      p.maintenanceAppendFiles, p.seed + 4)
+      SynthData.lineitemMonthly(spark, p.maintenanceAppendSf, p.months, Seed + 4),
+      p.maintenanceAppendFiles, Seed + 4)
     LstWriter.append(spark, ord,
-      SynthData.orders(spark, p.maintenanceAppendSf, p.seed + 5),
-      p.maintenanceAppendFiles, p.seed + 5)
+      SynthData.orders(spark, p.maintenanceAppendSf, Seed + 5),
+      p.maintenanceAppendFiles, Seed + 5)
 
     out += PhaseResult("degraded", singleUserPhase(spark, catalog, p), liveFiles(catalog))
 
     // Manual compaction (table scope, both tables)
-    val cfg = CompactionConfig(p.targetFileSizeBytes)
+    val cfg = CompactionConfig(TargetFileSizeBytes)
     catalog.allTables.foreach { ref =>
       val cand = CandidateGenerator.forTable(catalog.table(ref), Scope.Table).head
       CompactionExecutor.compact(spark, catalog, cand, cfg)

@@ -4,7 +4,7 @@ import repro.fleet.DayMetrics
 import repro.tune.TuneResult
 
 /** Plain-text table rendering + the row builders shared by the bench
-  * suites (`bench/`) and the spark-submit entrypoints (`jobs/`). Every
+  * suites (`bench/`) and the command-line entrypoint ([[Main]]). Every
   * evaluation artifact of the paper has one builder here so the printed
   * output is identical no matter how it is produced.
   */

@@ -179,16 +179,15 @@ final class FleetSimulator(cfg: FleetConfig) {
       0.5 * (1.0 + ratio)
     }
     val costCapGbHr = cfg.maxCandidateTbHr * 1024.0
-    def costGbHr(t: FleetTable): Double =
-      cfg.execMemGb * (t.smallBytes.toDouble / (cfg.rewriteTbPerHour * (1L << 40)))
     val pool = tables
-      .filter(t => t.smallFiles >= cfg.minSmallFilesCandidate && costGbHr(t) <= costCapGbHr)
+      .filter(t => t.smallFiles >= cfg.minSmallFilesCandidate &&
+        compactionCfg.gbHr(t.smallBytes) <= costCapGbHr)
       .map { t =>
       val cand = Candidate(TableRef(s"db${t.db}", s"t${t.id}"), Scope.Table, None, Vector.empty, 0L)
       val stats = CandidateStats(
         fileCount = t.totalFiles.toInt.max(0),
         smallFileCount = t.smallFiles.toInt.max(0),
-        totalBytes = t.smallBytes + t.largeFiles * (cfg.targetFileMb * (1L << 20)).toLong,
+        totalBytes = t.smallBytes + t.largeFiles * compactionCfg.targetFileSizeBytes,
         smallBytes = t.smallBytes,
         minFileBytes = 0L, maxFileBytes = 0L)
       (cand, stats)
@@ -203,10 +202,9 @@ final class FleetSimulator(cfg: FleetConfig) {
     */
   private def compactTable(t: FleetTable): (Long, Double) = {
     if (t.smallFiles < 2) return (0L, 0.0)
-    val produced = math.max(1L, math.ceil(t.smallBytes.toDouble /
-      (cfg.targetFileMb * (1L << 20))).toLong)
+    val produced = compactionCfg.outputFiles(t.smallBytes)
     val reduction = math.max(0L, t.smallFiles - produced)
-    val gbHr = cfg.execMemGb * (t.smallBytes.toDouble / (cfg.rewriteTbPerHour * (1L << 40)))
+    val gbHr = compactionCfg.gbHr(t.smallBytes)
     t.largeFiles += produced
     t.smallFiles = 0
     (reduction, gbHr / 1024.0) // → TBHr

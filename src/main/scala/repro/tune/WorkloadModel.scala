@@ -58,12 +58,13 @@ final case class WorkloadModel(
     // being tuned — seed it independently of traitName so different traits
     // are compared on identical runs.
     val rng = new DetRng(seed)
+    val smallFileBytes = (fileSizeMb * (1L << 20)).toLong
     val small = Array.fill(nTables)(initialSmallFiles)
     val large = Array.fill(nTables)(initialLargeFiles)
     var duration = 0.0
 
     def traitValue(t: Int): Double = {
-      val sizes = Seq.fill(small(t))((fileSizeMb * (1L << 20)).toLong) ++
+      val sizes = Seq.fill(small(t))(smallFileBytes) ++
         Seq.fill(large(t))(cfg.targetFileSizeBytes)
       traitName match {
         case "fileEntropy" => Traits.entropyOf(sizes, cfg.targetFileSizeBytes)
@@ -81,8 +82,7 @@ final case class WorkloadModel(
         if (partitionsPerTable == 1) smallGb + large(t) * (cfg.targetFileSizeBytes.toDouble / (1L << 30))
         else smallGb
       duration += rewriteGb * rewriteSecPerGb * contention
-      val produced = math.max(1, math.ceil(smallGb * (1L << 30) / cfg.targetFileSizeBytes).toInt)
-      large(t) += produced
+      large(t) += cfg.outputFiles(small(t) * smallFileBytes).toInt
       small(t) = 0
     }
 

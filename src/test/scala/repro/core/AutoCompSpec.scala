@@ -1,5 +1,10 @@
 package repro.core
 
+import java.util.concurrent.Executors
+
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
+
 import repro.lst._
 
 class AutoCompSpec extends LstFixture {
@@ -134,6 +139,24 @@ class AutoCompSpec extends LstFixture {
     assert(res.exists(_.succeeded))
     assert(hook.triggered == 1)
     assert(t.currentSnapshot.fileCount == 1)
+  }
+
+  test("OptimizeAfterWriteHook counts every firing under concurrent writers") {
+    val c = freshCatalog()
+    val n = 64
+    (0 until n).foreach(i => c.createTable("db1", s"t$i", None))
+    // threshold 0 fires on every call; an empty table's compaction is a
+    // skip, so no Spark job runs
+    val hook = new OptimizeAfterWriteHook(c, Traits.FileCountReduction,
+      threshold = 0.0, asRatioOfFiles = false, cfg)
+    val pool = Executors.newFixedThreadPool(8)
+    try {
+      implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
+      val calls = (0 until n).toVector.map(i => Future(hook.onWrite(spark, "db1", s"t$i")))
+      val results = Await.result(Future.sequence(calls), 1.minute)
+      assert(results.forall(_.exists(_.skipped)))
+    } finally pool.shutdown()
+    assert(hook.triggered == n)
   }
 
   test("OptimizeAfterWriteHook ratio mode") {

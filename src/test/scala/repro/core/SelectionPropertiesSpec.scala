@@ -78,9 +78,10 @@ class SelectionPropertiesSpec extends AnyFunSuite {
 
   test("property: BudgetGreedy selection is a subsequence of the ranking") {
     checkProp(Prop.forAll(genPool, Gen.choose(0.0, 0.5)) { (pool, budget) =>
-      val ranked = Ranker.defaultMoop.rank(pool, cfg).map(_.candidate.id)
+      // compare whole candidates: generated ids (short identifiers) can collide
+      val ranked = Ranker.defaultMoop.rank(pool, cfg).map(_.candidate)
       val sel = Selector.BudgetGreedy(budget).select(
-        Ranker.defaultMoop.rank(pool, cfg), cfg).map(_.candidate.id)
+        Ranker.defaultMoop.rank(pool, cfg), cfg).map(_.candidate)
       sel == ranked.filter(sel.toSet)
     })
   }

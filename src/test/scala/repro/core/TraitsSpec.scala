@@ -58,6 +58,32 @@ class TraitsSpec extends AnyFunSuite {
     assert(Traits.AdjustedFileCountReduction.compute(s, cfg) == 0.0)
   }
 
+  test("AdjustedFileCountReduction exact multiple of target and zero-byte files") {
+    // 5 × 400 B = 2000 B = exactly 2 targets → 2 outputs → adj = 3
+    assert(Traits.AdjustedFileCountReduction.compute(
+      CandidateStats.of(cand(Seq.fill(5)(400L)), 1000L), cfg) == 3.0)
+    // zero-byte small files still produce one output file
+    assert(Traits.AdjustedFileCountReduction.compute(
+      CandidateStats.of(cand(Seq(0L, 0L)), 1000L), cfg) == 1.0)
+    assert(Traits.AdjustedFileCountReduction.compute(
+      CandidateStats.of(cand(Seq.empty), 1000L), cfg) == 0.0)
+  }
+
+  test("outputFiles bin-packs to ceil(bytes/target), at least one") {
+    assert(cfg.outputFiles(3000L) == 3L) // exact multiple of target
+    assert(cfg.outputFiles(3001L) == 4L) // one byte over
+    assert(cfg.outputFiles(1L) == 1L)
+    assert(cfg.outputFiles(0L) == 1L)
+  }
+
+  test("gbHr is executor memory × bytes / rewrite throughput") {
+    assert(cfg.gbHr(1000000L) == 8.0) // 8 GB × 1e6 B / (1e6 B/h): exact multiple
+    assert(math.abs(cfg.gbHr(1000001L) - 8.000008) < 1e-12) // one byte over
+    assert(cfg.gbHr(0L) == 0.0)
+    assert(cfg.gbHr(3000L) == Traits.ComputeCostGbHr.compute(
+      CandidateStats(4, 3, 8000L, 3000L, 500L, 5000L), cfg))
+  }
+
   test("entropy zero when all files meet target") {
     assert(Traits.entropyOf(Seq(1000L, 4000L), 1000L) == 0.0)
   }

@@ -96,6 +96,21 @@ class FleetSimulatorSpec extends AnyFunSuite {
     assert(a == b)
   }
 
+  test("golden: exact DayMetrics of short auto-topk, auto-budget and manual runs") {
+    assert(sim.run(3, Map(1 -> Policy.AutoTopK(20))) == Vector(
+      DayMetrics(1, "auto-20", 20, 481706, 0.29357688793039927, 672233, 512810, 1084701),
+      DayMetrics(2, "auto-20", 20, 219530, 0.1148384765110535, 570216, 395731, 958956),
+      DayMetrics(3, "auto-20", 20, 113634, 0.03282882761483563, 525520, 346723, 853936)))
+    assert(sim.run(3, Map(1 -> Policy.AutoBudget(0.5))) == Vector(
+      DayMetrics(1, "auto-budget-0.5", 130, 856370, 0.4999999724281565, 297569, 111036, 493100),
+      DayMetrics(2, "auto-budget-0.5", 500, 212844, 0.11794891720040823, 202238, 0, 335660),
+      DayMetrics(3, "auto-budget-0.5", 488, 65790, 0.021897166760510345, 205386, 12, 340907)))
+    assert(sim.run(3, Map(1 -> Policy.ManualFixed(30))) == Vector(
+      DayMetrics(1, "manual-30", 30, 565629, 0.34632304073886644, 588310, 421968, 950085),
+      DayMetrics(2, "manual-30", 30, 17832, 0.011120189208341458, 687991, 520177, 1163430),
+      DayMetrics(3, "manual-30", 30, 29150, 0.005939354617240156, 727779, 559173, 1230386)))
+  }
+
   test("filesReduced consistent with totalFiles trajectory") {
     val days = sim.run(6, Map(1 -> Policy.AutoTopK(30)))
     // totalFiles(d) = totalFiles(d-1) + growth - reduction; reduction > 0

@@ -48,6 +48,21 @@ class WorkloadModelSpec extends LstFixture {
     assert(w.evaluate("smallFileCount", 0.4) == w.evaluate("smallFileCount", 0.4))
   }
 
+  test("golden: exact evaluate durations for wp1 and tpch, both traits, two thresholds") {
+    val expected = Map(
+      ("tpcds-wp1", "smallFileCount", 0.1) -> 7492.049999999993,
+      ("tpcds-wp1", "smallFileCount", 0.5) -> 8298.000000000022,
+      ("tpcds-wp1", "fileEntropy", 0.1) -> 7492.049999999993,
+      ("tpcds-wp1", "fileEntropy", 0.5) -> 8663.74999999996,
+      ("tpch", "smallFileCount", 0.1) -> 45311.77250000002,
+      ("tpch", "smallFileCount", 0.5) -> 7209.610000000001,
+      ("tpch", "fileEntropy", 0.1) -> 45311.77250000002,
+      ("tpch", "fileEntropy", 0.5) -> 6577.835000000001)
+    for (w <- Seq(WorkloadModel.wp1, WorkloadModel.tpch);
+         t <- Seq("smallFileCount", "fileEntropy"); thr <- Seq(0.1, 0.5))
+      assert(w.evaluate(t, thr) == expected((w.name, t, thr)), s"${w.name} $t $thr")
+  }
+
   test("calibration: real Spark scan cost grows with file count (the model's qtime term)") {
     // the analytic model charges perFileSec per file scanned; verify the
     // real substrate exhibits the same monotone relationship
